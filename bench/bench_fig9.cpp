@@ -96,16 +96,26 @@ void storage_section(bench::BenchReport& report, bool quick) {
 
     sim::MpsOptions mps_opts;
     mps_opts.max_bond = 16;
-    const vqe::EnergyEvaluator store_all(ansatz.circuit, h, mps_opts,
-                                         vqe::MeasurementMode::kHadamardTest,
-                                         vqe::CircuitStorage::kStoreAll);
-    const vqe::EnergyEvaluator efficient(
-        ansatz.circuit, h, mps_opts, vqe::MeasurementMode::kHadamardTest,
-        vqe::CircuitStorage::kMemoryEfficient);
+    std::vector<pauli::PauliString> terms;
+    for (const auto& [p, coeff] : h.sorted_terms())
+      if (!p.is_identity()) terms.push_back(p);
 
-    // (a) Memory held in circuit storage.
-    const double mem_ratio = double(store_all.stored_circuit_bytes()) /
-                             double(efficient.stored_circuit_bytes());
+    // The store-all baseline: one full Hadamard-test circuit per string.
+    std::vector<circ::Circuit> full_set;
+    full_set.reserve(terms.size());
+    for (const pauli::PauliString& p : terms)
+      full_set.push_back(sim::hadamard_test_circuit(ansatz.circuit, p));
+
+    // (a) Memory held in circuit storage: the replica plus every stored
+    // circuit, against the replica alone. The replica is a copy, as the
+    // evaluator holds it (Circuit::memory_bytes counts capacity, and a copy
+    // drops the builder's growth slack).
+    const circ::Circuit replica = ansatz.circuit;
+    std::size_t store_all_bytes = replica.memory_bytes();
+    for (const circ::Circuit& circ_k : full_set)
+      store_all_bytes += circ_k.memory_bytes();
+    const double mem_ratio =
+        double(store_all_bytes) / double(replica.memory_bytes());
 
     // (b) Per-iteration circuit management: the store-all baseline copies
     // and re-binds every circuit when the parameters change; the efficient
@@ -116,31 +126,35 @@ void storage_section(bench::BenchReport& report, bool quick) {
         gates += bind_parameters(circ_k, params).size();
       return gates;
     };
-    // Rebuild the full circuit set once to measure the bind cost.
-    std::vector<circ::Circuit> full_set;
-    full_set.reserve(store_all.n_terms());
-    for (const auto& [p, coeff] : store_all.terms())
-      full_set.push_back(sim::hadamard_test_circuit(ansatz.circuit, p));
     Timer t_manage_all;
     const std::size_t g1 = bind_all(full_set);
     const double manage_all = t_manage_all.seconds();
-    std::vector<circ::Circuit> one_replica = {ansatz.circuit};
+    std::vector<circ::Circuit> one_replica = {replica};
     Timer t_manage_eff;
     const std::size_t g2 = bind_all(one_replica);
     const double manage_eff = t_manage_eff.seconds();
 
-    // (c) End-to-end evaluation on a small circuit subset.
+    // (c) End-to-end evaluation on a small circuit subset: bind, run and
+    // read the ancilla of each stored circuit, versus one Hadamard test
+    // built on the fly from the replica per string.
     std::vector<std::size_t> subset;
-    for (std::size_t i = 0; i < 4; ++i)
-      subset.push_back(i * store_all.n_terms() / 4);
+    for (std::size_t i = 0; i < 4; ++i) subset.push_back(i * terms.size() / 4);
     Timer t_all;
-    store_all.partial_energy(params, subset);
+    for (std::size_t k : subset) {
+      const circ::Circuit bound = bind_parameters(full_set[k], params);
+      sim::Mps state(bound.n_qubits(), mps_opts);
+      state.run(bound);
+      pauli::PauliString z(std::size_t(bound.n_qubits()));
+      z.set(std::size_t(bound.n_qubits()) - 1, pauli::P::Z);
+      (void)state.expectation(z);
+    }
     const double all_s = t_all.seconds() + manage_all;
     Timer t_eff;
-    efficient.partial_energy(params, subset);
+    for (std::size_t k : subset)
+      (void)sim::hadamard_test_mps(ansatz.circuit, params, terms[k], mps_opts);
     const double eff_s = t_eff.seconds() + manage_eff;
 
-    bench::row({c.name, std::to_string(store_all.circuit_count()),
+    bench::row({c.name, std::to_string(full_set.size()),
                 bench::fmt(mem_ratio, 0) + "x",
                 bench::fmt(manage_all / std::max(manage_eff, 1e-9), 0) + "x",
                 bench::fmt(all_s / eff_s, 2) + "x"});
@@ -243,17 +257,19 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
 
   sim::MpsOptions opts;
   opts.max_bond = quick ? 24 : 48;
-  const vqe::EnergyEvaluator grouped(
-      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
-      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kCommuting);
-  const vqe::EnergyEvaluator flat(
-      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
-      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kNone);
+  const vqe::EnergyEvaluator grouped(ansatz.circuit, h, opts);
 
+  // Flat baseline: one standalone expectation (one transfer sweep) per term
+  // on the same compiled state, reduced in term order.
+  sim::Mps state(int(ansatz.circuit.n_qubits()), opts);
+  state.run(grouped.compiled_ansatz(), params);
   obs::Counter& sweeps =
       obs::Registry::global().counter("mps.transfer_sweeps");
   const std::uint64_t s0 = sweeps.value();
-  const double e_flat = flat.energy(params);
+  double e_terms = 0;
+  for (const auto& [p, coeff] : grouped.terms())
+    e_terms += (coeff * state.expectation(p)).real();
+  const double e_flat = grouped.constant_term() + e_terms;
   const std::uint64_t flat_sweeps = sweeps.value() - s0;
   const std::uint64_t s1 = sweeps.value();
   const double e_grouped = grouped.energy(params);

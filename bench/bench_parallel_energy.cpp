@@ -70,45 +70,32 @@ int main(int argc, char** argv) {
   bench::row({"workload", "serial s", "parallel s", "speedup", "identical"});
 
   double e1 = 0, eN = 0;
-  struct Case {
-    const char* name;
-    vqe::MeasurementMode mode;
-    int reps;
-  };
-  const Case cases[] = {
-      {"direct_sweep", vqe::MeasurementMode::kDirect, reps},
-      {"hadamard_sweep", vqe::MeasurementMode::kHadamardTest, 1},
-  };
   obs::Counter& sweeps = obs::Registry::global().counter("mps.transfer_sweeps");
-  for (const Case& c : cases) {
-    const vqe::EnergyEvaluator serial(ansatz.circuit, h, serial_mps, c.mode);
-    const vqe::EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps,
-                                        c.mode);
+  const vqe::EnergyEvaluator serial(ansatz.circuit, h, serial_mps);
+  const vqe::EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps);
+  {
     const std::uint64_t s0 = sweeps.value();
-    const double t1 = time_energy(serial, params, c.reps, &e1);
-    const std::uint64_t serial_sweeps = (sweeps.value() - s0) / c.reps;
+    const double t1 = time_energy(serial, params, reps, &e1);
+    const std::uint64_t serial_sweeps = (sweeps.value() - s0) / reps;
     const std::uint64_t sN = sweeps.value();
-    const double tN = time_energy(parallel, params, c.reps, &eN);
-    const std::uint64_t parallel_sweeps = (sweeps.value() - sN) / c.reps;
+    const double tN = time_energy(parallel, params, reps, &eN);
+    const std::uint64_t parallel_sweeps = (sweeps.value() - sN) / reps;
     const bool identical = std::memcmp(&e1, &eN, sizeof(double)) == 0 &&
                            serial_sweeps == parallel_sweeps;
-    bench::row({c.name, bench::fmte(t1), bench::fmte(tN),
+    bench::row({"direct_sweep", bench::fmte(t1), bench::fmte(tN),
                 bench::fmt(t1 / tN, 2), identical ? "yes" : "NO"});
-    report.set(std::string(c.name) + "_serial_seconds", t1);
-    report.set(std::string(c.name) + "_parallel_seconds", tN);
-    report.set(std::string(c.name) + "_speedup", t1 / tN);
-    report.set(std::string(c.name) + "_identical", identical);
-    report.set(std::string(c.name) + "_energy", eN);
+    report.set("direct_sweep_serial_seconds", t1);
+    report.set("direct_sweep_parallel_seconds", tN);
+    report.set("direct_sweep_speedup", t1 / tN);
+    report.set("direct_sweep_identical", identical);
+    report.set("direct_sweep_energy", eN);
     // The sweep count is part of the determinism contract: the commuting
     // grouping decides how many environment sweeps one evaluation takes,
     // and the thread count must not change it.
-    report.set(std::string(c.name) + "_transfer_sweeps",
-               double(serial_sweeps));
+    report.set("direct_sweep_transfer_sweeps", double(serial_sweeps));
   }
 
   {
-    const vqe::EnergyEvaluator serial(ansatz.circuit, h, serial_mps);
-    const vqe::EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps);
     std::vector<double> g1, gN;
     const double t1 = time_gradient(serial, params, 1, &g1);
     const double tN = time_gradient(parallel, params, 1, &gN);

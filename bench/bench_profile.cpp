@@ -12,29 +12,14 @@
 #include "sim/mps.hpp"
 #include "vqe/uccsd.hpp"
 
-namespace {
-
-// Total wall time (seconds) of every profile node with this span name, summed
-// across call paths. With the run pinned to one thread the sums are disjoint
-// slices of the wall clock, so share-of-total is well defined.
-double span_seconds(const std::vector<q2::obs::ProfileNode>& nodes,
-                    const char* name) {
-  double us = 0;
-  for (const auto& node : nodes)
-    if (node.name == name) us += node.total_us;
-  return us * 1e-6;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace q2;
   bench::init(argc, argv);
   bench::BenchReport report("profile");
   Rng rng(3);
 
-  // The hotspot split now comes from the span-aggregation profile (the same
-  // tree `--profile=` exports) instead of the ad-hoc MpsProfile stopwatches.
+  // The hotspot split comes from the span-aggregation profile (the same
+  // tree `--profile=` exports).
   obs::set_profiling(true);
 
   bench::header("IV-B: MPS hotspot split (contraction vs SVD)");
@@ -58,8 +43,8 @@ int main(int argc, char** argv) {
     mps.run(routed, params);
     const double total = t.seconds();
     const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
-    const double contraction_s = span_seconds(nodes, "mps/contract");
-    const double svd_s = span_seconds(nodes, "mps/svd");
+    const double contraction_s = bench::span_seconds(nodes, "mps/contract");
+    const double svd_s = bench::span_seconds(nodes, "mps/svd");
     bench::row({std::to_string(routed.n_qubits()),
                 std::to_string(mps.max_bond_dimension()),
                 bench::fmt(100 * contraction_s / total, 1),

@@ -104,6 +104,17 @@ inline std::string fmt(double v, int prec = 4) {
   return buf;
 }
 
+/// Total wall time (seconds) of every profile node with this span name,
+/// summed across call paths. With the spans' callers on one thread the sums
+/// are disjoint slices of the wall clock, so share-of-total is well defined.
+inline double span_seconds(const std::vector<obs::ProfileNode>& nodes,
+                           const char* name) {
+  double us = 0;
+  for (const auto& node : nodes)
+    if (node.name == name) us += node.total_us;
+  return us * 1e-6;
+}
+
 inline std::string fmte(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3e", v);

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "circuit/routing.hpp"
-#include "common/timer.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
@@ -22,16 +21,6 @@ namespace {
 obs::Counter& gate_counter() {
   static obs::Counter& c = obs::Registry::global().counter("mps.gates");
   return c;
-}
-obs::Histogram& contract_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("mps.contract_seconds");
-  return h;
-}
-obs::Histogram& svd_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("mps.svd_seconds");
-  return h;
 }
 obs::Counter& svd_sweep_counter() {
   static obs::Counter& c = obs::Registry::global().counter("mps.svd_sweeps");
@@ -192,9 +181,7 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
 
   const std::size_t dl = dl_[n], dm = dr_[n], dr = dr_[n + 1];
   require(dm == dl_[n + 1], "Mps: inconsistent bond dimensions");
-  ++profile_.gates_applied;
   gate_counter().add();
-  Timer hotspot_timer;
 
   const std::size_t rows = dl * 2, cols = 2 * dr;
   std::vector<cplx>& mm = scratch_.m;
@@ -243,10 +230,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     }
   }
 
-  double contract_seconds = hotspot_timer.seconds();
-  profile_.contraction_seconds += contract_seconds;
-  hotspot_timer.reset();
-
   // Eq. (9): truncated SVD of the weighted tensor. U is never formed — the
   // Eq. (10) recovery below needs only the unweighted M and V^H.
   la::TruncatedSpectrum f;
@@ -257,12 +240,7 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
                              options_.max_bond, options_.svd_cutoff,
                              /*want_u=*/false, options_.parallel);
   }
-  const double svd_seconds = hotspot_timer.seconds();
-  profile_.svd_seconds += svd_seconds;
-  svd_hist().observe(svd_seconds);
-  profile_.svd_sweeps += std::size_t(f.sweeps);
   svd_sweep_counter().add(std::uint64_t(f.sweeps));
-  hotspot_timer.reset();
   const std::size_t k = f.keep;
   bond_hist().observe(double(k));
   truncation_error_ += f.truncation_error;
@@ -297,10 +275,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     for (auto& z : tensors_[n]) z *= norm_scale;
     dr_[n] = k;
   }
-  const double restore_seconds = hotspot_timer.seconds();
-  profile_.contraction_seconds += restore_seconds;
-  contract_seconds += restore_seconds;
-  contract_hist().observe(contract_seconds);
 }
 
 void Mps::apply(const circ::Gate& g, const std::vector<double>& params) {

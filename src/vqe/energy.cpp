@@ -7,7 +7,6 @@
 #include "obs/workload.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/hadamard_test.hpp"
 
 namespace q2::vqe {
 namespace {
@@ -26,22 +25,6 @@ obs::Gauge& measurement_groups_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("vqe.measurement_groups");
   return g;
-}
-
-// Materialize a parametric circuit at fixed angles — the per-step "circuit
-// synchronization" cost the memory-efficient scheme avoids.
-circ::Circuit bind_parameters(const circ::Circuit& c,
-                              const std::vector<double>& params) {
-  circ::Circuit out(c.n_qubits());
-  for (circ::Gate g : c.gates()) {
-    if (g.is_parametric()) {
-      g.theta = g.angle(params);
-      g.param_index = -1;
-      g.param_scale = 1.0;
-    }
-    out.append(std::move(g));
-  }
-  return out;
 }
 
 // Runs eval_one(j) for every j in [0, n) — serially below the parallel
@@ -75,51 +58,26 @@ void sweep_terms(const par::ParallelOptions& opts, std::size_t n,
 
 EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
                                  pauli::QubitOperator hamiltonian,
-                                 sim::MpsOptions mps_options,
-                                 MeasurementMode mode, CircuitStorage storage,
-                                 TermGrouping grouping)
-    : ansatz_(std::move(ansatz)),
-      hamiltonian_(std::move(hamiltonian)),
-      mps_options_(mps_options),
-      mode_(mode),
-      storage_(storage) {
-  require(std::size_t(ansatz_.n_qubits()) == hamiltonian_.n_qubits(),
+                                 sim::MpsOptions mps_options)
+    : ansatz_(std::move(ansatz)), mps_options_(mps_options) {
+  require(std::size_t(ansatz_.n_qubits()) == hamiltonian.n_qubits(),
           "EnergyEvaluator: qubit count mismatch");
-  require(hamiltonian_.is_hermitian(1e-8),
+  require(hamiltonian.is_hermitian(1e-8),
           "EnergyEvaluator: Hamiltonian must be Hermitian");
-  for (const auto& [p, c] : hamiltonian_.sorted_terms()) {
+  for (const auto& [p, c] : hamiltonian.sorted_terms()) {
     if (p.is_identity())
       constant_ += c.real();
     else
       terms_.emplace_back(p, c);
   }
-  if (storage_ == CircuitStorage::kStoreAll &&
-      mode_ == MeasurementMode::kHadamardTest) {
-    stored_circuits_.reserve(terms_.size());
-    for (const auto& [p, c] : terms_)
-      stored_circuits_.push_back(sim::hadamard_test_circuit(ansatz_, p));
-  }
   // Compile the ansatz once: lazy reordering + fusion + residual output
   // permutation, replayed with fresh parameter vectors every evaluation.
-  // kStoreAll keeps the historical bind-and-eager-route path so the Fig. 9
-  // storage-scheme comparison still measures what it claims to.
-  use_compiled_ = mode_ == MeasurementMode::kDirect &&
-                  storage_ == CircuitStorage::kMemoryEfficient;
-  if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
-  if (mode_ == MeasurementMode::kDirect &&
-      grouping == TermGrouping::kCommuting) {
-    std::vector<pauli::PauliString> strings;
-    strings.reserve(terms_.size());
-    for (const auto& [p, c] : terms_) strings.push_back(p);
-    groups_ = pauli::group_qubitwise_commuting(strings);
-  }
-  measurement_groups_gauge().set(double(measurement_group_count()));
-}
-
-std::size_t EnergyEvaluator::stored_circuit_bytes() const {
-  std::size_t b = ansatz_.memory_bytes();
-  for (const auto& c : stored_circuits_) b += c.memory_bytes();
-  return b;
+  compiled_ = circ::compile_for_mps(ansatz_);
+  std::vector<pauli::PauliString> strings;
+  strings.reserve(terms_.size());
+  for (const auto& [p, c] : terms_) strings.push_back(p);
+  groups_ = pauli::group_qubitwise_commuting(strings);
+  measurement_groups_gauge().set(double(groups_.size()));
 }
 
 double EnergyEvaluator::energy(const std::vector<double>& params) const {
@@ -134,16 +92,21 @@ double EnergyEvaluator::partial_energy(
   OBS_SPAN("vqe/energy");
   evaluation_counter().add();
   term_counter().add(idx.size());
-  return mode_ == MeasurementMode::kDirect ? measure_direct(params, idx)
-                                           : measure_hadamard(params, idx);
+  // Compiled once in the constructor; parameters bind at apply time and
+  // measurement maps through the residual permutation.
+  sim::Mps state(ansatz_.n_qubits(), mps_options_);
+  state.run(compiled_, params);
+  last_truncation_error_.store(state.truncation_error(),
+                               std::memory_order_relaxed);
+  OBS_SPAN("vqe/measure");
+  return reduce_terms(state, idx, /*parallel_sweep=*/true);
 }
 
 std::vector<double> EnergyEvaluator::term_costs() const {
-  // Cost model: the measurement sweep length. For the direct path the
-  // transfer contraction spans the string's support; for Hadamard tests the
-  // routed control chains scale the same way. pauli::support_cost is the one
-  // model shared with the measurement sweeps, so the LPT balancer and the
-  // sweep itself cannot drift apart.
+  // Cost model: the measurement sweep length — the transfer contraction
+  // spans the string's support. pauli::support_cost is the one model shared
+  // with the measurement sweeps, so the LPT balancer and the sweep itself
+  // cannot drift apart.
   std::vector<double> costs;
   costs.reserve(terms_.size());
   for (const auto& [p, c] : terms_) costs.push_back(pauli::support_cost(p));
@@ -157,20 +120,19 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
 
   // Evaluate the energy with one occurrence's angle overridden. Builds its
-  // own circuit and engine, so concurrent calls are independent. On the
-  // compiled path the cached gate stream is copied with just the occurrence's
-  // gate de-parameterized — no re-routing or re-fusion per evaluation (every
+  // own circuit and engine, so concurrent calls are independent. The cached
+  // compiled stream is copied with just the occurrence's gate
+  // de-parameterized — no re-routing or re-fusion per evaluation (every
   // compile pass preserves the relative order of parametric gates, so the
   // k-th parametric gate of the compiled stream is the k-th of the ansatz).
   // The inner term sweep stays serial (the 2N shifted circuits already fan
   // out below); reduce_terms keeps the term-order reduction either way.
   auto energy_with_override = [&](std::size_t occurrence, double delta) {
-    sim::Mps state(ansatz_.n_qubits(), mps_options_);
-    const circ::Circuit& source =
-        use_compiled_ ? compiled_.gates : ansatz_;
-    circ::Circuit shifted(source.n_qubits());
+    circ::CompiledCircuit shifted;
+    shifted.gates = circ::Circuit(compiled_.gates.n_qubits());
+    shifted.output_perm = compiled_.output_perm;
     std::size_t seen = 0;
-    for (circ::Gate g : source.gates()) {
+    for (circ::Gate g : compiled_.gates.gates()) {
       if (g.is_parametric()) {
         if (seen == occurrence) {
           g.theta = g.angle(params) + delta;
@@ -179,17 +141,10 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
         }
         ++seen;
       }
-      shifted.append(std::move(g));
+      shifted.gates.append(std::move(g));
     }
-    if (use_compiled_) {
-      circ::CompiledCircuit shifted_compiled;
-      shifted_compiled.gates = std::move(shifted);
-      shifted_compiled.output_perm = compiled_.output_perm;
-      state.run(shifted_compiled, params);
-    } else {
-      circ::Circuit bound = bind_parameters(shifted, params);
-      state.run(bound, {});
-    }
+    sim::Mps state(ansatz_.n_qubits(), mps_options_);
+    state.run(shifted, params);
     return reduce_terms(state, all, /*parallel_sweep=*/false);
   };
 
@@ -221,126 +176,51 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
                                      bool parallel_sweep) const {
   // Per-term contributions against the shared read-only state, written to
   // per-idx slots and reduced in index order below — the same addition
-  // sequence as a serial ungrouped loop, so the energy is bit-identical for
-  // every thread count and grouping mode (expectation_batch guarantees
-  // per-term values match the standalone expectation exactly).
+  // sequence as a serial per-term loop, so the energy is bit-identical for
+  // every thread count (expectation_batch guarantees per-term values match
+  // the standalone expectation exactly).
   std::vector<double> contrib(idx.size());
   constexpr std::size_t kNoSlot = std::size_t(-1);
-  if (!groups_.empty()) {
-    std::vector<std::size_t> slot(terms_.size(), kNoSlot);
-    for (std::size_t j = 0; j < idx.size(); ++j) slot[idx[j]] = j;
-    // Restrict the precomputed plan to the requested subset (partial_energy
-    // on a distributed rank sees only its LPT share of the terms).
-    struct SubGroup {
-      const pauli::MeasurementGroup* group;
-      std::vector<std::size_t> members;
-    };
-    std::vector<SubGroup> subs;
-    subs.reserve(groups_.size());
-    for (const auto& g : groups_) {
-      std::vector<std::size_t> members;
-      for (std::size_t k : g.members)
-        if (slot[k] != kNoSlot) members.push_back(k);
-      if (!members.empty()) subs.push_back({&g, std::move(members)});
-    }
-    auto eval_group = [&](std::size_t gi) {
-      const SubGroup& sub = subs[gi];
-      std::vector<pauli::PauliString> strings;
-      strings.reserve(sub.members.size());
-      for (std::size_t k : sub.members) strings.push_back(terms_[k].first);
-      const std::vector<cplx> values = state.expectation_batch(strings);
-      for (std::size_t t = 0; t < sub.members.size(); ++t) {
-        const std::size_t k = sub.members[t];
-        contrib[slot[k]] = (terms_[k].second * values[t]).real();
-      }
-    };
-    auto group_cost = [&](std::size_t gi) {
-      return pauli::support_cost(subs[gi].group->lo, subs[gi].group->hi);
-    };
-    if (parallel_sweep)
-      sweep_terms(mps_options_.parallel, subs.size(), group_cost, eval_group);
-    else
-      for (std::size_t gi = 0; gi < subs.size(); ++gi) eval_group(gi);
-  } else {
-    auto eval_one = [&](std::size_t j) {
-      const std::size_t k = idx[j];
-      contrib[j] =
-          (terms_[k].second * state.expectation(terms_[k].first)).real();
-    };
-    auto cost = [&](std::size_t j) {
-      return pauli::support_cost(terms_[idx[j]].first);
-    };
-    if (parallel_sweep)
-      sweep_terms(mps_options_.parallel, idx.size(), cost, eval_one);
-    else
-      for (std::size_t j = 0; j < idx.size(); ++j) eval_one(j);
+  std::vector<std::size_t> slot(terms_.size(), kNoSlot);
+  for (std::size_t j = 0; j < idx.size(); ++j) slot[idx[j]] = j;
+  // Restrict the precomputed plan to the requested subset (partial_energy
+  // on a distributed rank sees only its LPT share of the terms).
+  struct SubGroup {
+    const pauli::MeasurementGroup* group;
+    std::vector<std::size_t> members;
+  };
+  std::vector<SubGroup> subs;
+  subs.reserve(groups_.size());
+  for (const auto& g : groups_) {
+    std::vector<std::size_t> members;
+    for (std::size_t k : g.members)
+      if (slot[k] != kNoSlot) members.push_back(k);
+    if (!members.empty()) subs.push_back({&g, std::move(members)});
   }
+  auto eval_group = [&](std::size_t gi) {
+    const SubGroup& sub = subs[gi];
+    std::vector<pauli::PauliString> strings;
+    strings.reserve(sub.members.size());
+    for (std::size_t k : sub.members) strings.push_back(terms_[k].first);
+    const std::vector<cplx> values = state.expectation_batch(strings);
+    for (std::size_t t = 0; t < sub.members.size(); ++t) {
+      const std::size_t k = sub.members[t];
+      contrib[slot[k]] = (terms_[k].second * values[t]).real();
+    }
+  };
+  auto group_cost = [&](std::size_t gi) {
+    return pauli::support_cost(subs[gi].group->lo, subs[gi].group->hi);
+  };
+  if (parallel_sweep)
+    sweep_terms(mps_options_.parallel, subs.size(), group_cost, eval_group);
+  else
+    for (std::size_t gi = 0; gi < subs.size(); ++gi) eval_group(gi);
   double e = 0;
   for (double c : contrib) e += c;
   // The sweep's own arithmetic beyond the per-term expectations: one
   // coefficient multiply per term plus the index-order reduction.
   obs::WorkCounter::charge(2 * std::uint64_t(idx.size()),
                            std::uint64_t(idx.size()) * sizeof(double));
-  return e;
-}
-
-double EnergyEvaluator::measure_direct(const std::vector<double>& params,
-                                       const std::vector<std::size_t>& idx) const {
-  sim::Mps state(ansatz_.n_qubits(), mps_options_);
-  if (use_compiled_) {
-    // Compiled once in the constructor; parameters bind at apply time and
-    // measurement maps through the residual permutation.
-    state.run(compiled_, params);
-  } else if (storage_ == CircuitStorage::kStoreAll) {
-    // Baseline behaviour: re-materialize the bound circuit every call.
-    const circ::Circuit bound = bind_parameters(ansatz_, params);
-    state.run(bound, {});
-  } else {
-    state.run(ansatz_, params);
-  }
-  last_truncation_error_.store(state.truncation_error(),
-                               std::memory_order_relaxed);
-  OBS_SPAN("vqe/measure");
-  return reduce_terms(state, idx, /*parallel_sweep=*/true);
-}
-
-double EnergyEvaluator::measure_hadamard(
-    const std::vector<double>& params,
-    const std::vector<std::size_t>& idx) const {
-  std::vector<double> contrib(idx.size());
-  std::vector<double> trunc(idx.size(), 0.0);
-  auto eval_one = [&](std::size_t j) {
-    const std::size_t k = idx[j];
-    OBS_SPAN("vqe/pauli_circuit");
-    double re;
-    if (storage_ == CircuitStorage::kStoreAll) {
-      // Bind and run the pre-built full circuit (ansatz replica per string).
-      const circ::Circuit bound = bind_parameters(stored_circuits_[k], params);
-      sim::Mps state(bound.n_qubits(), mps_options_);
-      state.run(bound, {});
-      pauli::PauliString z(std::size_t(bound.n_qubits()));
-      z.set(std::size_t(bound.n_qubits()) - 1, pauli::P::Z);
-      re = state.expectation(z).real();
-      trunc[j] = state.truncation_error();
-    } else {
-      re = sim::hadamard_test_mps(ansatz_, params, terms_[k].first,
-                                  mps_options_, &trunc[j]);
-    }
-    contrib[j] = terms_[k].second.real() * re;
-  };
-  // Every string is a full circuit run; costs still follow the shared
-  // support model.
-  sweep_terms(
-      mps_options_.parallel, idx.size(),
-      [&](std::size_t j) { return pauli::support_cost(terms_[idx[j]].first); },
-      eval_one);
-  // Worst truncation across the swept circuits — deterministic for any
-  // thread count, unlike "whichever circuit ran last".
-  double worst = 0.0;
-  for (double t : trunc) worst = std::max(worst, t);
-  last_truncation_error_.store(worst, std::memory_order_relaxed);
-  double e = 0;
-  for (double c : contrib) e += c;
   return e;
 }
 

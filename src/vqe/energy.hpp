@@ -1,8 +1,11 @@
 // The VQE energy evaluator: prepares |psi(theta)> and measures
-// E = sum_k c_k <P_k>. Two measurement paths (direct MPS expectation, or one
-// Hadamard-test circuit per string — the hardware-faithful mode of Fig. 5)
-// and two circuit-storage modes (the Fig. 9 comparison: store all bound
-// circuits versus one parametric ansatz replica + on-the-fly tails).
+// E = sum_k c_k <P_k> — the paper's production scheme (§III, Fig. 9): one
+// parametric ansatz replica, compiled once for the MPS engine, replayed with
+// fresh parameters every evaluation and measured directly on the prepared
+// state, one shared transfer sweep per qubit-wise commuting term group.
+// The hardware-faithful Hadamard-test circuits of Fig. 5 stay available as
+// the sim::hadamard_test_mps oracle; the store-all and per-term baselines of
+// Fig. 9 live in the benches.
 #pragma once
 
 #include <atomic>
@@ -15,36 +18,13 @@
 
 namespace q2::vqe {
 
-enum class MeasurementMode {
-  kDirect,        ///< fast path: expectation values on one prepared MPS
-  kHadamardTest,  ///< paper-faithful: one ancilla circuit per Pauli string
-};
-
-enum class CircuitStorage {
-  kStoreAll,         ///< bind+store one full circuit per string (baseline)
-  kMemoryEfficient,  ///< one parametric ansatz replica (paper's scheme)
-};
-
-enum class TermGrouping {
-  kNone,       ///< one expectation sweep per Pauli term (baseline)
-  kCommuting,  ///< qubit-wise commuting groups share transfer sweeps
-};
-
 class EnergyEvaluator {
  public:
   EnergyEvaluator(circ::Circuit ansatz, pauli::QubitOperator hamiltonian,
-                  sim::MpsOptions mps_options = {},
-                  MeasurementMode mode = MeasurementMode::kDirect,
-                  CircuitStorage storage = CircuitStorage::kMemoryEfficient,
-                  TermGrouping grouping = TermGrouping::kCommuting);
+                  sim::MpsOptions mps_options = {});
 
   std::size_t n_terms() const { return terms_.size(); }
   std::size_t n_parameters() const { return ansatz_.parameter_count(); }
-  /// The number of distinct circuits this evaluator represents (one per
-  /// non-identity Pauli string, as in Fig. 5).
-  std::size_t circuit_count() const { return terms_.size(); }
-  /// Bytes held in stored circuits — the Fig. 9 memory axis.
-  std::size_t stored_circuit_bytes() const;
 
   double energy(const std::vector<double>& params) const;
   /// Contribution of a subset of Pauli terms (the unit of level-2 work).
@@ -60,14 +40,14 @@ class EnergyEvaluator {
   std::vector<double> parameter_shift_gradient(
       const std::vector<double>& params) const;
 
-  /// Per-term cost estimates (for LPT load balancing across ranks).
+  /// Per-term cost estimates for LPT load balancing across ranks: the
+  /// transfer-sweep length over each string's support
+  /// (pauli::support_cost, the model the measurement sweep also uses).
   std::vector<double> term_costs() const;
 
-  /// MPS truncation error of the most recent energy evaluation: the prepared
-  /// state's accumulated error in direct mode, the worst error across the
-  /// swept per-string circuits in Hadamard-test mode (deterministic for any
-  /// thread count). Used by run reports to attach a fidelity column to each
-  /// VQE iteration.
+  /// Accumulated MPS truncation error of the state prepared by the most
+  /// recent energy evaluation. Used by run reports to attach a fidelity
+  /// column to each VQE iteration.
   double last_truncation_error() const {
     return last_truncation_error_.load(std::memory_order_relaxed);
   }
@@ -78,47 +58,34 @@ class EnergyEvaluator {
   }
   double constant_term() const { return constant_; }
 
-  /// Number of qubit-wise commuting measurement groups the direct sweep
-  /// uses; equals n_terms() when grouping is disabled (every term is its own
-  /// sweep). Also exported as the "vqe.measurement_groups" gauge.
-  std::size_t measurement_group_count() const {
-    return groups_.empty() ? terms_.size() : groups_.size();
-  }
-  /// The cached compiled ansatz (empty circuit when the eager baseline path
-  /// is active, i.e. kStoreAll or Hadamard-test mode).
+  /// Number of qubit-wise commuting measurement groups the sweep uses. Also
+  /// exported as the "vqe.measurement_groups" gauge.
+  std::size_t measurement_group_count() const { return groups_.size(); }
+  /// The ansatz compiled once by circ::compile_for_mps in the constructor;
+  /// every evaluation replays it.
   const circ::CompiledCircuit& compiled_ansatz() const { return compiled_; }
 
  private:
-  double measure_direct(const std::vector<double>& params,
-                        const std::vector<std::size_t>& idx) const;
-  double measure_hadamard(const std::vector<double>& params,
-                          const std::vector<std::size_t>& idx) const;
-  /// Measures the idx-subset of terms on a prepared state (grouped batches
-  /// when grouping is on, one expectation per term otherwise) and reduces
-  /// contributions in idx order — bit-identical to the serial ungrouped
-  /// sweep for every thread count and grouping mode.
+  /// Measures the idx-subset of terms on a prepared state, one
+  /// expectation_batch per commuting group, and reduces contributions in idx
+  /// order — bit-identical to a serial per-term sweep for every thread
+  /// count.
   double reduce_terms(const sim::Mps& state,
                       const std::vector<std::size_t>& idx,
                       bool parallel_sweep) const;
 
   circ::Circuit ansatz_;
-  pauli::QubitOperator hamiltonian_;
   sim::MpsOptions mps_options_;
-  MeasurementMode mode_;
-  CircuitStorage storage_;
   std::vector<std::pair<pauli::PauliString, cplx>> terms_;
   double constant_ = 0.0;
-  /// Compiled-once ansatz for the direct memory-efficient path; parameters
-  /// bind at run time, so energy/gradient calls never re-route.
+  /// Compiled-once ansatz; parameters bind at run time, so energy/gradient
+  /// calls never re-route.
   circ::CompiledCircuit compiled_;
-  bool use_compiled_ = false;
-  /// QWC measurement plan over terms_ (empty = ungrouped per-term sweeps).
+  /// QWC measurement plan over terms_.
   std::vector<pauli::MeasurementGroup> groups_;
   /// Relaxed atomic: distributed VQE calls partial_energy concurrently from
   /// rank threads; any rank's value is an equally valid report entry.
   mutable std::atomic<double> last_truncation_error_{0.0};
-  /// kStoreAll + kHadamardTest: the full per-string circuits, pre-built.
-  std::vector<circ::Circuit> stored_circuits_;
 };
 
 }  // namespace q2::vqe

@@ -158,8 +158,7 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
 
 VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
                      const UccsdAnsatz& ansatz, const VqeOptions& options) {
-  const EnergyEvaluator evaluator(ansatz.circuit, hamiltonian, options.mps,
-                                  options.measurement, options.storage);
+  const EnergyEvaluator evaluator(ansatz.circuit, hamiltonian, options.mps);
   EnergyFn f = [&](const std::vector<double>& x) { return evaluator.energy(x); };
   return optimize(evaluator, ansatz, options, f);
 }
@@ -180,8 +179,7 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
   const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(mo);
   const UccsdAnsatz ansatz =
       build_uccsd(mo.n_orbitals(), n_alpha, n_beta, options.ansatz);
-  const EnergyEvaluator evaluator(ansatz.circuit, h, options.mps,
-                                  options.measurement, options.storage);
+  const EnergyEvaluator evaluator(ansatz.circuit, h, options.mps);
 
   // Static LPT partition of the Pauli terms over ranks (level-2 parallelism).
   const par::Schedule schedule =

@@ -20,8 +20,6 @@ struct VqeOptions {
   sim::MpsOptions mps;
   UccsdOptions ansatz;
   OptimizerOptions optimizer;
-  MeasurementMode measurement = MeasurementMode::kDirect;
-  CircuitStorage storage = CircuitStorage::kMemoryEfficient;
   OptimizerKind method = OptimizerKind::kLbfgs;
   double gradient_eps = 1e-5;
   /// Durable snapshot/resume of the optimizer loop (src/ckpt). When enabled,

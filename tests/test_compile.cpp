@@ -346,22 +346,27 @@ void expect_grouped_bit_identical(const MolecularCase& mc) {
   for (std::size_t i = 0; i < params.size(); ++i)
     params[i] = 0.02 * double(i + 1);
 
-  // Serial ungrouped sweep: one expectation per term, reduced in term order.
+  // Serial per-term oracle: the compiled ansatz on one engine, then one
+  // standalone expectation per non-identity term, reduced in term order and
+  // added to the constant.
   sim::MpsOptions serial;
   serial.parallel.n_threads = 1;
-  const vqe::EnergyEvaluator reference(mc.ansatz.circuit, mc.hamiltonian,
-                                       serial, vqe::MeasurementMode::kDirect,
-                                       vqe::CircuitStorage::kMemoryEfficient,
-                                       vqe::TermGrouping::kNone);
-  const double e_reference = reference.energy(params);
+  sim::Mps state(int(mc.ansatz.circuit.n_qubits()), serial);
+  state.run(circ::compile_for_mps(mc.ansatz.circuit), params);
+  double constant = 0.0, e_terms = 0.0;
+  for (const auto& [p, c] : mc.hamiltonian.sorted_terms()) {
+    if (p.is_identity())
+      constant += c.real();
+    else
+      e_terms += (c * state.expectation(p)).real();
+  }
+  const double e_reference = constant + e_terms;
 
   for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
     sim::MpsOptions opts;
     opts.parallel.n_threads = threads;
     const vqe::EnergyEvaluator grouped(mc.ansatz.circuit, mc.hamiltonian,
-                                       opts, vqe::MeasurementMode::kDirect,
-                                       vqe::CircuitStorage::kMemoryEfficient,
-                                       vqe::TermGrouping::kCommuting);
+                                       opts);
     EXPECT_LT(grouped.measurement_group_count(), grouped.n_terms());
     const double e_grouped = grouped.energy(params);
     // Exact double equality: grouping and threading change the schedule,

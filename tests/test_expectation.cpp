@@ -1,12 +1,13 @@
 // Measurement utilities: direct energy measurement guards, Hadamard-test
 // equivalence on MPS and state-vector backends, and qubit-wise commuting
-// grouping invariants.
+// grouping invariants (pauli::group_qubitwise_commuting).
 #include <gtest/gtest.h>
 
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
 #include "circuit/builder.hpp"
 #include "common/rng.hpp"
+#include "pauli/grouping.hpp"
 #include "sim/expectation.hpp"
 #include "sim/hadamard_test.hpp"
 
@@ -60,18 +61,30 @@ TEST(HadamardTest, StateVectorBackendAgrees) {
   EXPECT_NEAR(mps_val, sv_val, 1e-9);
 }
 
+std::vector<pauli::PauliString> strings_of(const pauli::QubitOperator& op) {
+  std::vector<pauli::PauliString> strings;
+  for (const auto& [p, c] : op.sorted_terms()) strings.push_back(p);
+  return strings;
+}
+
 TEST(Grouping, GroupsAreQubitwiseCompatible) {
   const pauli::QubitOperator h = h2_hamiltonian();
-  const auto groups = qubitwise_commuting_groups(h);
+  const std::vector<pauli::PauliString> terms = strings_of(h);
+  const auto groups = pauli::group_qubitwise_commuting(terms);
   std::size_t total = 0;
   for (const auto& g : groups) {
-    total += g.size();
-    for (std::size_t i = 0; i < g.size(); ++i)
-      for (std::size_t j = i + 1; j < g.size(); ++j)
-        for (std::size_t q = 0; q < g[i].n_qubits(); ++q) {
-          const pauli::P a = g[i].get(q), b = g[j].get(q);
-          EXPECT_TRUE(a == pauli::P::I || b == pauli::P::I || a == b);
+    total += g.members.size();
+    for (std::size_t i = 0; i < g.members.size(); ++i) {
+      const pauli::PauliString& a = terms[g.members[i]];
+      EXPECT_FALSE(a.is_identity());
+      for (std::size_t j = i + 1; j < g.members.size(); ++j) {
+        const pauli::PauliString& b = terms[g.members[j]];
+        for (std::size_t q = 0; q < a.n_qubits(); ++q) {
+          const pauli::P pa = a.get(q), pb = b.get(q);
+          EXPECT_TRUE(pa == pauli::P::I || pb == pauli::P::I || pa == pb);
         }
+      }
+    }
   }
   EXPECT_EQ(total, h.size() - 1);  // identity excluded
   // Grouping must compress the measurement count (the point of the scheme).
@@ -82,7 +95,7 @@ TEST(Grouping, SingleStringsFormSingletons) {
   pauli::QubitOperator op(2);
   op += pauli::QubitOperator::term(2, "X0", 1.0);
   op += pauli::QubitOperator::term(2, "Z0", 1.0);  // incompatible with X0
-  const auto groups = qubitwise_commuting_groups(op);
+  const auto groups = pauli::group_qubitwise_commuting(strings_of(op));
   EXPECT_EQ(groups.size(), 2u);
 }
 

@@ -1,12 +1,15 @@
 // End-to-end VQE tests: H2 to chemical accuracy against FCI, agreement of
-// the measurement paths (direct vs Hadamard test) and storage modes, the
+// the evaluator's direct measurement with the Hadamard-test oracle, the
 // optimizers on analytic functions, and distributed == serial determinism.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
 #include "parallel/comm.hpp"
+#include "sim/hadamard_test.hpp"
 #include "vqe/vqe_driver.hpp"
 
 namespace q2::vqe {
@@ -97,35 +100,19 @@ TEST(EnergyEvaluator, HfEnergyAtZeroParameters) {
 }
 
 TEST(EnergyEvaluator, MeasurementModesAgree) {
+  // The evaluator's direct measurement against the hardware-faithful oracle:
+  // one ancilla circuit per Pauli string (Fig. 5), E = c_0 + sum_k c_k <P_k>.
   const Solved s = solve(chem::Molecule::h2(1.4));
   const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
   const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
   const std::vector<double> params = initial_parameters(ansatz, 0.1);
 
-  const EnergyEvaluator direct(ansatz.circuit, h, {},
-                               MeasurementMode::kDirect);
-  const EnergyEvaluator hadamard(ansatz.circuit, h, {},
-                                 MeasurementMode::kHadamardTest);
-  EXPECT_NEAR(direct.energy(params), hadamard.energy(params), 1e-7);
-}
-
-TEST(EnergyEvaluator, StorageModesAgreeAndDifferInMemory) {
-  const Solved s = solve(chem::Molecule::h2(1.4));
-  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
-  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
-  const std::vector<double> params = initial_parameters(ansatz, 0.1);
-
-  const EnergyEvaluator efficient(ansatz.circuit, h, {},
-                                  MeasurementMode::kHadamardTest,
-                                  CircuitStorage::kMemoryEfficient);
-  const EnergyEvaluator store_all(ansatz.circuit, h, {},
-                                  MeasurementMode::kHadamardTest,
-                                  CircuitStorage::kStoreAll);
-  EXPECT_NEAR(efficient.energy(params), store_all.energy(params), 1e-9);
-  // Fig. 9's memory axis: one replica vs one full circuit per Pauli string.
-  EXPECT_GT(store_all.stored_circuit_bytes(),
-            10 * efficient.stored_circuit_bytes());
-  EXPECT_EQ(store_all.circuit_count(), 14u);  // 15 terms minus identity
+  const EnergyEvaluator direct(ansatz.circuit, h);
+  ASSERT_EQ(direct.n_terms(), 14u);  // 15 terms minus identity
+  double oracle = direct.constant_term();
+  for (const auto& [p, c] : direct.terms())
+    oracle += c.real() * sim::hadamard_test_mps(ansatz.circuit, params, p);
+  EXPECT_NEAR(direct.energy(params), oracle, 1e-7);
 }
 
 TEST(EnergyEvaluator, PartialEnergiesSumToTotal) {
@@ -211,23 +198,6 @@ TEST(EnergyEvaluator, ParallelEnergyBitIdenticalToSerial_H4) {
   EXPECT_EQ(e_serial, e_parallel);  // byte-identical, not EXPECT_NEAR
 }
 
-TEST(EnergyEvaluator, ParallelHadamardEnergyBitIdenticalToSerial) {
-  const Solved s = solve(chem::Molecule::h2(1.4));
-  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
-  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
-  const std::vector<double> params = initial_parameters(ansatz, 0.1);
-
-  sim::MpsOptions serial_mps;
-  serial_mps.parallel.n_threads = 1;
-  sim::MpsOptions parallel_mps;
-  parallel_mps.parallel.n_threads = 4;
-  const EnergyEvaluator serial(ansatz.circuit, h, serial_mps,
-                               MeasurementMode::kHadamardTest);
-  const EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps,
-                                 MeasurementMode::kHadamardTest);
-  EXPECT_EQ(serial.energy(params), parallel.energy(params));
-}
-
 TEST(EnergyEvaluator, ParallelGradientBitIdenticalToSerial) {
   // Each of the 2N shifted-circuit evaluations is independent; entries are
   // chain-ruled in occurrence order regardless of which thread ran them.
@@ -251,10 +221,10 @@ TEST(EnergyEvaluator, ParallelGradientBitIdenticalToSerial) {
 }
 
 TEST(EnergyEvaluator, HadamardMemoryEfficientReportsTruncationError) {
-  // Regression: the memory-efficient Hadamard path never updated
-  // last_truncation_error_, so JSONL reports carried a stale value. With a
-  // bond cap of 1 the test circuits must truncate, and the evaluator must
-  // say so.
+  // With a bond cap of 1 both the Hadamard-test oracle's circuits and the
+  // evaluator's prepared state must truncate, and both must say so: the
+  // oracle through its out-param, the evaluator through
+  // last_truncation_error() (the fidelity column of JSONL reports).
   const Solved s = solve(chem::Molecule::h2(1.4));
   const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
   const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
@@ -262,9 +232,16 @@ TEST(EnergyEvaluator, HadamardMemoryEfficientReportsTruncationError) {
 
   sim::MpsOptions tight;
   tight.max_bond = 1;
-  const EnergyEvaluator eval(ansatz.circuit, h, tight,
-                             MeasurementMode::kHadamardTest,
-                             CircuitStorage::kMemoryEfficient);
+  const EnergyEvaluator eval(ansatz.circuit, h, tight);
+  double worst = 0.0;
+  for (const auto& [p, c] : eval.terms()) {
+    double trunc = -1.0;
+    sim::hadamard_test_mps(ansatz.circuit, params, p, tight, &trunc);
+    EXPECT_GE(trunc, 0.0);
+    worst = std::max(worst, trunc);
+  }
+  EXPECT_GT(worst, 0.0);
+
   EXPECT_EQ(eval.last_truncation_error(), 0.0);
   eval.energy(params);
   EXPECT_GT(eval.last_truncation_error(), 0.0);
