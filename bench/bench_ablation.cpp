@@ -50,7 +50,8 @@ int main() {
     const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(s.mo.n_orbitals(), 2, 2);
     const std::vector<double> params = vqe::initial_parameters(ansatz, 0.05);
     // Fusion must run on the routed (nearest-neighbour) stream, and the
-    // parametric RZ gates act as barriers — realistic conditions.
+    // parametric RZ gates act as barriers — realistic conditions. Both
+    // streams run gate by gate: Mps::run compiles, and so would fuse both.
     const circ::Circuit routed =
         circ::route_to_nearest_neighbour(ansatz.circuit);
     const circ::Circuit fused = circ::fuse_single_qubit_gates(routed);
@@ -58,11 +59,11 @@ int main() {
     mo.max_bond = 32;
     Timer t1;
     sim::Mps a(routed.n_qubits(), mo);
-    a.run(routed, params);
+    for (const circ::Gate& g : routed.gates()) a.apply(g, params);
     const double raw_s = t1.seconds();
     Timer t2;
     sim::Mps b(fused.n_qubits(), mo);
-    b.run(fused, params);
+    for (const circ::Gate& g : fused.gates()) b.apply(g, params);
     const double fused_s = t2.seconds();
     bench::row({"LiH UCCSD", std::to_string(routed.size()),
                 std::to_string(fused.size()), bench::fmte(raw_s),
@@ -105,9 +106,10 @@ int main() {
         circ::compile_for_mps(ansatz.circuit);
     sim::MpsOptions mo;
     mo.max_bond = 32;
+    // Gate by gate: Mps::run would compile the eager SWAPs away.
     Timer t1;
     sim::Mps a(eager.n_qubits(), mo);
-    a.run(eager, params);
+    for (const circ::Gate& g : eager.gates()) a.apply(g, params);
     const double eager_s = t1.seconds();
     Timer t2;
     sim::Mps b(compiled.gates.n_qubits(), mo);

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "circuit/routing.hpp"
+#include "circuit/reorder.hpp"
 #include "sim/mps.hpp"
 #include "vqe/uccsd.hpp"
 
@@ -33,15 +33,16 @@ int main(int argc, char** argv) {
     std::vector<double> params(ansatz.n_parameters);
     for (std::size_t k = 0; k < params.size(); ++k)
       params[k] = (k % 2 ? -0.7 : 0.7) * (0.8 + 0.2 * double((k * 37) % 11) / 11.0);
-    const circ::Circuit routed =
-        circ::route_to_nearest_neighbour(ansatz.circuit);
+    const circ::CompiledCircuit compiled =
+        circ::compile_for_mps(ansatz.circuit);
+    const circ::Circuit& routed = compiled.gates;
 
     sim::MpsOptions mps_opts;
     mps_opts.max_bond = 16;
     mps_opts.svd_cutoff = 0.0;  // keep D pinned: uniform per-gate cost
     Timer t;
     sim::Mps mps(routed.n_qubits(), mps_opts);
-    mps.run(routed, params);
+    mps.run(compiled, params);
     const double secs = t.seconds();
     xs.push_back(double(routed.n_qubits()));
     ys.push_back(secs);

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.complex_normal();
 
     Timer t_serial;
-    const la::SvdResult f1 = la::svd(m);
+    const la::SvdResult f1 = la::svd_jacobi(m);
     const double serial_s = t_serial.seconds();
 
     cluster.reset_counters();

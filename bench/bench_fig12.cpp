@@ -4,7 +4,7 @@
 // cost from this host (converted by the throughput ratio), then composes the
 // paper's three-level structure. Paper: >= 92 % efficiency, ~30x speedup.
 #include "bench_util.hpp"
-#include "circuit/routing.hpp"
+#include "circuit/reorder.hpp"
 #include "sim/mps.hpp"
 #include "swsim/machine_model.hpp"
 #include "vqe/uccsd.hpp"
@@ -18,12 +18,13 @@ double calibrate_host_seconds_per_gate(std::size_t bond) {
   opts.distance_window = 1;
   const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(8, 4, 4, opts);
   const std::vector<double> params = vqe::initial_parameters(ansatz, 0.05);
-  const circ::Circuit routed = circ::route_to_nearest_neighbour(ansatz.circuit);
+  const circ::CompiledCircuit compiled = circ::compile_for_mps(ansatz.circuit);
+  const circ::Circuit& routed = compiled.gates;
   sim::MpsOptions mo;
   mo.max_bond = bond;
   Timer t;
   sim::Mps mps(routed.n_qubits(), mo);
-  mps.run(routed, params);
+  mps.run(compiled, params);
   const double d3 = double(bond) * double(bond) * double(bond);
   return t.seconds() / double(routed.size()) / d3;
 }

@@ -71,15 +71,6 @@ void BM_TensorContractFused(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorContractFused)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_SvdGolubKahan(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(0));
-  const la::CMatrix a = random_matrix(2 * n, 2 * n, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::svd(a));
-  }
-}
-BENCHMARK(BM_SvdGolubKahan)->Arg(16)->Arg(32)->Arg(64);
-
 void BM_SvdJacobi(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
   const la::CMatrix a = random_matrix(2 * n, 2 * n, 3);

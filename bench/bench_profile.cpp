@@ -5,7 +5,7 @@
 // multiplication" ablation).
 #include "bench_util.hpp"
 #include "circuit/builder.hpp"
-#include "circuit/routing.hpp"
+#include "circuit/reorder.hpp"
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/tensor.hpp"
@@ -32,15 +32,16 @@ int main(int argc, char** argv) {
     // Large angles so the state actually entangles up to the bond cap, as a
     // mid-optimization VQE state would.
     const std::vector<double> params = vqe::initial_parameters(ansatz, 0.5);
-    const circ::Circuit routed =
-        circ::route_to_nearest_neighbour(ansatz.circuit);
+    const circ::CompiledCircuit compiled =
+        circ::compile_for_mps(ansatz.circuit);
+    const circ::Circuit& routed = compiled.gates;
     sim::MpsOptions mo;
     mo.max_bond = 32;
     mo.parallel.n_threads = 1;  // keep span totals disjoint wall-clock slices
     obs::clear_profile();
     Timer t;
     sim::Mps mps(routed.n_qubits(), mo);
-    mps.run(routed, params);
+    mps.run(compiled, params);
     const double total = t.seconds();
     const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
     const double contraction_s = bench::span_seconds(nodes, "mps/contract");

@@ -85,8 +85,7 @@ void QubitPermutation::swap_logical(int a, int b) {
   logical_at_[std::size_t(site_of_[std::size_t(b)])] = b;
 }
 
-CompiledCircuit compile_for_mps(const Circuit& c,
-                                const CompileOptions& options) {
+CompiledCircuit compile_for_mps(const Circuit& c) {
   CompiledCircuit out;
   out.output_perm = QubitPermutation(c.n_qubits());
   QubitPermutation& perm = out.output_perm;
@@ -156,15 +155,9 @@ CompiledCircuit compile_for_mps(const Circuit& c,
           ? out.stats.swaps_eager - out.stats.swaps_materialized
           : 0;
 
-  if (options.fuse) {
-    const std::size_t before = reordered.size();
-    Circuit fused = fuse_adjacent_two_qubit_gates(
-        fuse_single_qubit_gates(reordered));
-    out.stats.gates_fused = before - fused.size();
-    out.gates = std::move(fused);
-  } else {
-    out.gates = std::move(reordered);
-  }
+  out.gates =
+      fuse_adjacent_two_qubit_gates(fuse_single_qubit_gates(reordered));
+  out.stats.gates_fused = reordered.size() - out.gates.size();
 
   swaps_materialized_counter().add(out.stats.swaps_materialized);
   swaps_elided_counter().add(out.stats.swaps_elided);

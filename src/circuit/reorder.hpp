@@ -2,7 +2,7 @@
 // nearest-neighbour form the MPS engine consumes while tracking a
 // logical→physical qubit permutation instead of materializing every SWAP.
 //
-// The eager router (`route_to_nearest_neighbour`) brackets each long-range
+// The eager router (circuit/routing.hpp) brackets each long-range
 // two-qubit gate with a full bubble chain both ways — 2·(d−1) SWAPs per gate.
 // The compile pass here carries the permutation forward instead: logical SWAP
 // gates cost nothing (a relabelling), each long-range gate emits only the
@@ -10,7 +10,8 @@
 // long-range gates cancel through a peephole, and the circuit ends in
 // whatever ordering it ends in. The residual output permutation is returned
 // so measurement maps logical Pauli strings onto physical sites instead of
-// paying an un-routing SWAP tail.
+// paying an un-routing SWAP tail. This is the one routing pass of the MPS
+// engine: both Mps::run overloads execute its output.
 #pragma once
 
 #include <vector>
@@ -73,19 +74,13 @@ struct CompiledCircuit {
   CompileStats stats;
 };
 
-struct CompileOptions {
-  /// Run single-qubit fusion then adjacent two-qubit fusion after
-  /// reordering, so absorbed SWAPs become part of fused U4s and the SVD only
-  /// ever sees merged two-qubit unitaries.
-  bool fuse = true;
-};
-
-/// Compile `c` for the MPS engine: lazy reordering + (optionally) gate
-/// fusion. Parameter bindings survive compilation — the compiled circuit is
-/// built once per ansatz structure and replayed with fresh parameter vectors
-/// every iteration. Deterministic: equal inputs produce equal outputs.
-CompiledCircuit compile_for_mps(const Circuit& c,
-                                const CompileOptions& options = {});
+/// Compile `c` for the MPS engine: lazy reordering, then single-qubit fusion
+/// and adjacent two-qubit fusion, so absorbed SWAPs become part of fused U4s
+/// and the SVD only ever sees merged two-qubit unitaries. Parameter bindings
+/// survive compilation — the compiled circuit is built once per ansatz
+/// structure and replayed with fresh parameter vectors every iteration.
+/// Deterministic: equal inputs produce equal outputs.
+CompiledCircuit compile_for_mps(const Circuit& c);
 
 /// Undo a residual permutation on a state vector indexed by physical sites
 /// (bit s = site s): returns amplitudes indexed by logical qubits (bit q =

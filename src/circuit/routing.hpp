@@ -1,8 +1,11 @@
-// SWAP routing: rewrites a circuit so every two-qubit gate acts on adjacent
-// qubits, which is the form the MPS engine consumes. The UCC parity ladders
-// and Hadamard-test controls span arbitrary distances; each long-range gate
-// is bracketed by SWAP chains (and the chains are what the paper's MPS
-// simulator pays for long-range entangling, too).
+// Eager SWAP routing: rewrites a circuit so every two-qubit gate acts on
+// adjacent qubits by bracketing each long-range gate with SWAP chains both
+// ways, the way the paper's baseline MPS simulators pay for long-range
+// entangling. The MPS engine does not use it — Mps::run lowers every circuit
+// through circ::compile_for_mps (circuit/reorder.hpp). It stays as the oracle
+// of sim::ReferenceMps, as the eager baseline the Fig. 9 bench and the
+// routing ablation measure against, and as the explicit SWAP stream of the
+// per-gate noise study.
 #pragma once
 
 #include "circuit/circuit.hpp"

@@ -28,7 +28,9 @@ EmbeddingBasis make_bath(const la::RMatrix& p_oao, const Fragment& fragment,
   emb.n_fragment = nf;
   std::vector<std::vector<double>> bath_vecs;  // in env coordinates
   if (!env.empty()) {
-    const la::SvdResult f = la::svd(b);
+    // Real input keeps every factor of the Jacobi engine exactly real, so
+    // dropping the (zero) imaginary parts of U loses nothing.
+    const la::SvdResult f = la::svd_jacobi(b);
     for (std::size_t k = 0; k < f.s.size(); ++k) {
       if (f.s[k] < threshold) continue;
       std::vector<double> v(env.size());

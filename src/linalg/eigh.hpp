@@ -1,6 +1,7 @@
 // Hermitian / symmetric eigensolvers (cyclic Jacobi). Used by the SCF Fock
-// diagonalization, the DMET bath construction and small exact
-// diagonalizations; eigenvalues are returned in ascending order.
+// diagonalization, the DMET Lowdin orthogonalization and in-embedding
+// canonical orbitals, and small exact diagonalizations; eigenvalues are
+// returned in ascending order.
 #pragma once
 
 #include <vector>

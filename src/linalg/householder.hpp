@@ -1,7 +1,6 @@
 // Shared Householder reflector machinery: zlarfg-style reflector generation
-// plus row-major-friendly left/right application on raw buffers. Factored out
-// of the SVD's Golub-Kahan bidiagonalization so the QR factorization
-// (linalg/qr) and the truncated-SVD substrate's QR preconditioner run on one
+// plus row-major-friendly left application on raw buffers, so the QR
+// factorization (linalg/qr) and the SVD engine's QR preconditioner run on one
 // implementation. reflect_left walks the operand row by row (the classic
 // zlarf work-array formulation), so every inner loop is contiguous even
 // though the reflector acts on a column.
@@ -67,23 +66,6 @@ inline void reflect_left(cplx* a, std::size_t ld, std::size_t cols,
     const cplx vi = v[i];
     cplx* row = a + (r0 + 1 + i) * ld + c0;
     for (std::size_t j = 0; j < nc; ++j) row[j] -= work[j] * vi;
-  }
-}
-
-// A(r0..rows, c0..) <- A (I - sigma v v^H), with v0 = 1 at column c0; rows
-// already stream contiguously, no scratch needed.
-inline void reflect_right(cplx* a, std::size_t ld, std::size_t rows,
-                          std::size_t r0, std::size_t c0, const cplx* v,
-                          std::size_t tail, cplx sigma) {
-  if (sigma == cplx{}) return;
-  for (std::size_t i = r0; i < rows; ++i) {
-    cplx* row = a + i * ld;
-    cplx s = row[c0];
-    for (std::size_t j = 0; j < tail; ++j) s += row[c0 + 1 + j] * v[j];
-    const cplx ss = sigma * s;
-    row[c0] -= ss;
-    for (std::size_t j = 0; j < tail; ++j)
-      row[c0 + 1 + j] -= ss * std::conj(v[j]);
   }
 }
 

@@ -400,8 +400,7 @@ void materialize_vx(SvdWorkspace& ws, std::size_t N, std::size_t keep) {
 
 // Extract the leading `keep` triplets into ws.out_*. zero_small additionally
 // zeroes singular values below the null tolerance — the full-SVD contract;
-// the truncated path reports raw values (matching the Golub-Kahan route it
-// replaced).
+// the truncated path reports raw values.
 void extract_factors(SvdWorkspace& ws, const EngineInfo& info,
                      std::size_t keep, bool want_u, bool zero_small,
                      const par::ParallelOptions& parallel) {
@@ -578,220 +577,6 @@ TruncatedSvd svd_truncated(const CMatrix& a, std::size_t max_rank,
   r.vh = CMatrix(f.keep, a.cols());
   std::copy(f.vh, f.vh + f.keep * a.cols(), r.vh.data());
   return r;
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Golub-Kahan engine (full SVD)
-// ---------------------------------------------------------------------------
-
-inline double pythag(double a, double b) { return std::hypot(a, b); }
-
-// Implicit-shift QR diagonalization of a real bidiagonal matrix
-// (diag d[0..n), superdiag e[i] = B(i-1, i), e[0] = 0), accumulating the
-// rotations into U and V supplied in TRANSPOSED layout (row j = j-th
-// singular vector) so each rotation streams two contiguous rows.
-// Classic Golub-Kahan; returns false if an eigenvalue fails to converge.
-bool bidiagonal_qr(std::vector<double>& d, std::vector<double>& e, CMatrix& ut,
-                   CMatrix& vt) {
-  const int n = int(d.size());
-  double anorm = 0;
-  for (int i = 0; i < n; ++i)
-    anorm = std::max(anorm, std::abs(d[i]) + std::abs(e[i]));
-  const double eps = 1e-15 * anorm;
-
-  auto rotate_cols = [](CMatrix& m, int p, int q, double c, double s) {
-    cplx* rp = m.row(std::size_t(p));
-    cplx* rq = m.row(std::size_t(q));
-    const std::size_t cols = m.cols();
-    for (std::size_t i = 0; i < cols; ++i) {
-      const cplx y = rp[i], z = rq[i];
-      rp[i] = y * c + z * s;
-      rq[i] = z * c - y * s;
-    }
-  };
-
-  for (int k = n - 1; k >= 0; --k) {
-    for (int its = 0; its < 75; ++its) {
-      bool flag = true;
-      int l = k, nm = k - 1;
-      for (; l >= 0; --l) {
-        nm = l - 1;
-        if (l == 0 || std::abs(e[l]) <= eps) {
-          flag = false;
-          break;
-        }
-        if (std::abs(d[nm]) <= eps) break;
-      }
-      if (flag) {
-        // d[l-1] negligible: cancel e[l] with rotations touching U.
-        double c = 0.0, s = 1.0;
-        for (int i = l; i <= k; ++i) {
-          const double f = s * e[i];
-          e[i] = c * e[i];
-          if (std::abs(f) <= eps) break;
-          const double g = d[i];
-          const double h = pythag(f, g);
-          d[i] = h;
-          const double hinv = 1.0 / h;
-          c = g * hinv;
-          s = -f * hinv;
-          rotate_cols(ut, nm, i, c, s);
-        }
-      }
-      const double z = d[k];
-      if (l == k) {
-        if (z < 0) {
-          d[k] = -z;
-          cplx* vk = vt.row(std::size_t(k));
-          for (std::size_t c2 = 0; c2 < vt.cols(); ++c2) vk[c2] = -vk[c2];
-        }
-        break;
-      }
-      if (its == 74) return false;
-
-      // Wilkinson-style shift from the trailing 2x2.
-      double x = d[l];
-      nm = k - 1;
-      double y = d[nm];
-      double g = e[nm], h = e[k];
-      double f = ((y - z) * (y + z) + (g - h) * (g + h)) / (2.0 * h * y);
-      g = pythag(f, 1.0);
-      const double sign_g = f >= 0 ? std::abs(g) : -std::abs(g);
-      f = ((x - z) * (x + z) + h * (y / (f + sign_g) - h)) / x;
-      double c = 1.0, s = 1.0;
-      for (int j = l; j <= nm; ++j) {
-        const int i = j + 1;
-        g = e[i];
-        y = d[i];
-        h = s * g;
-        g = c * g;
-        double zz = pythag(f, h);
-        e[j] = zz;
-        c = f / zz;
-        s = h / zz;
-        f = x * c + g * s;
-        g = g * c - x * s;
-        h = y * s;
-        y *= c;
-        rotate_cols(vt, j, i, c, s);
-        zz = pythag(f, h);
-        d[j] = zz;
-        if (zz != 0.0) {
-          const double zi = 1.0 / zz;
-          c = f * zi;
-          s = h * zi;
-        }
-        f = c * g + s * y;
-        x = c * y - s * g;
-        rotate_cols(ut, j, i, c, s);
-      }
-      e[l] = 0.0;
-      e[k] = f;
-      d[k] = x;
-    }
-  }
-  return true;
-}
-
-// Golub-Kahan SVD for m >= n; returns false on QR non-convergence.
-bool svd_golub_kahan(const CMatrix& a_in, SvdResult& out) {
-  const std::size_t m = a_in.rows(), n = a_in.cols();
-  CMatrix a = a_in;
-  std::vector<cplx> hwork;
-
-  // Householder bidiagonalization; vectors stored in-place in a. The k-th
-  // right reflector also covers the tail-less k = n-2 case, where it reduces
-  // to the phase rotation that makes the last superdiagonal real.
-  std::vector<hh::Reflector> left(n), right(n >= 1 ? n - 1 : 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Column k: zero below the diagonal.
-    std::vector<cplx> col(m - k - 1);
-    for (std::size_t i = 0; i < col.size(); ++i) col[i] = a(k + 1 + i, k);
-    left[k] = hh::make_reflector(a(k, k), col.data(), col.size());
-    for (std::size_t i = 0; i < col.size(); ++i) a(k + 1 + i, k) = col[i];
-    // Apply (I - conj(tau) v v^H) to the trailing columns.
-    hh::reflect_left(a.data(), n, n, k, k + 1, col.data(), col.size(),
-                     std::conj(left[k].tau), hwork);
-    a(k, k) = left[k].beta;
-
-    if (k + 1 < n) {
-      // Row k: zero beyond the superdiagonal via the conjugated-row trick.
-      std::vector<cplx> row(n - k - 2);
-      for (std::size_t j = 0; j < row.size(); ++j)
-        row[j] = std::conj(a(k, k + 2 + j));
-      cplx alpha = std::conj(a(k, k + 1));
-      right[k] = hh::make_reflector(alpha, row.data(), row.size());
-      for (std::size_t j = 0; j < row.size(); ++j) a(k, k + 2 + j) = row[j];
-      if (right[k].tau != cplx{}) {
-        // A <- A (I - tau v v^H) on rows k+1.. (row k handled analytically).
-        hh::reflect_right(a.data(), n, m, k + 1, k + 1, row.data(),
-                          row.size(), right[k].tau);
-      }
-      a(k, k + 1) = right[k].beta;
-    }
-  }
-
-  std::vector<double> d(n), e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i).real();
-  for (std::size_t i = 1; i < n; ++i) e[i] = a(i - 1, i).real();
-
-  // Backward-accumulate U = H_1 ... H_n * [e1..en] and V = W_1 ... W_r * I.
-  CMatrix u(m, n);
-  for (std::size_t i = 0; i < n; ++i) u(i, i) = 1.0;
-  for (std::size_t kk = n; kk-- > 0;) {
-    std::vector<cplx> v(m - kk - 1);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = a(kk + 1 + i, kk);
-    hh::reflect_left(u.data(), n, n, kk, kk, v.data(), v.size(),
-                     left[kk].tau, hwork);
-  }
-  CMatrix vmat = CMatrix::identity(n);
-  for (std::size_t kk = right.size(); kk-- > 0;) {
-    std::vector<cplx> v(n - kk - 2);
-    for (std::size_t j = 0; j < v.size(); ++j) v[j] = a(kk, kk + 2 + j);
-    hh::reflect_left(vmat.data(), n, n, kk + 1, kk + 1, v.data(), v.size(),
-                     right[kk].tau, hwork);
-  }
-
-  // Transposed copies keep the QR rotations on contiguous rows.
-  CMatrix ut = u.transposed();
-  CMatrix vt = vmat.transposed();
-  if (!bidiagonal_qr(d, e, ut, vt)) return false;
-
-  // Sort singular values descending, permuting the factors.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
-  out.u = CMatrix(m, n);
-  out.s.resize(n);
-  out.vh = CMatrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t src = order[j];
-    out.s[j] = d[src];
-    for (std::size_t i = 0; i < m; ++i) out.u(i, j) = ut(src, i);
-    for (std::size_t i = 0; i < n; ++i) out.vh(j, i) = std::conj(vt(src, i));
-  }
-  return true;
-}
-
-}  // namespace
-
-SvdResult svd(const CMatrix& a) {
-  require(!a.empty(), "svd: empty matrix");
-  if (a.rows() < a.cols()) {
-    SvdResult t = svd(a.adjoint());
-    SvdResult r;
-    r.s = std::move(t.s);
-    r.u = t.vh.adjoint();
-    r.vh = t.u.adjoint();
-    return r;
-  }
-  SvdResult out;
-  if (svd_golub_kahan(a, out)) return out;
-  // Extremely rare: fall back to the unconditionally-convergent Jacobi path.
-  return svd_jacobi(a);
 }
 
 }  // namespace q2::la

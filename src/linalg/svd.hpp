@@ -1,21 +1,20 @@
 // Complex singular value decomposition — the LAPACK-zgesvd stand-in that the
 // MPS two-site update (paper Eq. 9) funnels through.
 //
-// Two engines share this interface:
-//  - svd(): Golub-Kahan (Householder bidiagonalization + implicit-shift QR on
-//    the real bidiagonal), the general-purpose full decomposition — the
-//    BDC/QR route the paper describes for swBLAS.
-//  - svd_jacobi / svd_truncated / svd_truncated_ws: the truncated-SVD
-//    substrate. For m >= n the operand is QR-preconditioned (A = QR; Jacobi
-//    runs on the small n x n factor, oriented as R^H so its columns pack
-//    contiguously out of R's rows) and U is recovered as Q V_X through the
-//    blocked GEMM only when a caller asks for it. The Jacobi itself replaces
-//    the cyclic (p, q) order with round-robin tournament rounds whose column
-//    pairs are disjoint; each round's rotations fan out over
-//    par::parallel_for and commute exactly, so results are bit-identical at
-//    every thread count — the same determinism contract as the GEMM
-//    substrate. svd_truncated_ws is the zero-copy workspace form the MPS
-//    two-site update sits on.
+// One engine serves every caller: the QR-preconditioned tournament Jacobi.
+// For m >= n the operand is QR-preconditioned (A = QR; Jacobi runs on the
+// small n x n factor, oriented as R^H so its columns pack contiguously out
+// of R's rows) and U is recovered as Q V_X through the blocked GEMM only
+// when a caller asks for it. The Jacobi itself replaces the cyclic (p, q)
+// order with round-robin tournament rounds whose column pairs are disjoint;
+// each round's rotations fan out over par::parallel_for and commute exactly,
+// so results are bit-identical at every thread count — the same determinism
+// contract as the GEMM substrate. svd_truncated_ws is the zero-copy
+// workspace form the MPS two-site update sits on; svd_jacobi is the full
+// decomposition (the DMET bath, the Fig. 11 serial column); svd_truncated
+// is the allocating convenience form. On real input every reflector, Jacobi
+// phase and rotation is real, so the factors come back exactly real — the
+// DMET bath relies on that.
 #pragma once
 
 #include <cstddef>
@@ -34,14 +33,10 @@ struct SvdResult {
   CMatrix vh;              ///< k x n, orthonormal rows (V adjoint).
 };
 
-/// Thin SVD of an arbitrary complex matrix (Golub-Kahan; falls back to
-/// Jacobi on the rare non-convergence).
-SvdResult svd(const CMatrix& a);
-
-/// Full SVD through the QR-preconditioned tournament-Jacobi engine:
-/// unconditionally stable, cross-validates the Golub-Kahan path, and serves
-/// as its non-convergence fallback. Zero singular values are reported as
-/// exact zeros with completed orthonormal U columns.
+/// Thin SVD through the QR-preconditioned tournament-Jacobi engine
+/// (unconditionally convergent). Zero singular values are reported as exact
+/// zeros with completed orthonormal U columns; real input yields factors
+/// with exactly zero imaginary parts.
 SvdResult svd_jacobi(const CMatrix& a,
                      const par::ParallelOptions& parallel = {});
 

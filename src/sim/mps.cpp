@@ -6,7 +6,6 @@
 #include <map>
 #include <numeric>
 
-#include "circuit/routing.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
@@ -290,17 +289,7 @@ void Mps::apply(const circ::Gate& g, const std::vector<double>& params) {
 }
 
 void Mps::run(const circ::Circuit& c, const std::vector<double>& params) {
-  OBS_SPAN("mps/run");
-  require(c.n_qubits() == n_, "Mps::run: qubit count mismatch");
-  require(perm_.is_identity(),
-          "Mps::run: engine carries a residual permutation; logical circuits "
-          "can only run on an unpermuted state");
-  if (c.is_nearest_neighbour()) {
-    for (const auto& g : c.gates()) apply(g, params);
-  } else {
-    const circ::Circuit routed = circ::route_to_nearest_neighbour(c);
-    for (const auto& g : routed.gates()) apply(g, params);
-  }
+  run(circ::compile_for_mps(c), params);
 }
 
 void Mps::run(const circ::CompiledCircuit& c,

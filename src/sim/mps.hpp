@@ -66,19 +66,23 @@ class Mps {
   double truncation_error() const { return truncation_error_; }
 
   void apply(const circ::Gate& g, const std::vector<double>& params = {});
-  /// Runs a circuit; long-range two-qubit gates are routed internally
-  /// (eagerly — prefer the compiled overload for repeated runs).
+  /// Runs a logical circuit: shorthand for run(circ::compile_for_mps(c),
+  /// params), so it takes the compiled overload's precondition and leaves
+  /// its residual permutation behind. Callers that replay one circuit many
+  /// times should compile once and call the compiled overload.
   void run(const circ::Circuit& c, const std::vector<double>& params = {});
   /// Runs a pre-compiled circuit (see circ::compile_for_mps) and adopts its
   /// residual output permutation: subsequent expectation values map logical
-  /// Pauli strings through the permutation, so the un-routing SWAP tail of
-  /// the eager router never runs. Requires an unpermuted engine (a fresh
-  /// state or one whose previous compiled run ended at the identity).
+  /// Pauli strings through the permutation, so no un-routing SWAP tail ever
+  /// runs. Requires an unpermuted engine (a fresh state or one whose
+  /// previous run ended at the identity placement).
   void run(const circ::CompiledCircuit& c,
            const std::vector<double>& params = {});
 
-  /// Residual logical→site placement left by compiled runs (identity on a
-  /// fresh engine and after plain runs).
+  /// Residual logical→site placement left by the last run (identity on a
+  /// fresh engine, and after runs whose routing ended where it started).
+  /// `apply` acts on sites, not logical qubits, so gates applied after a
+  /// permuting run must be placed through this map.
   const circ::QubitPermutation& output_permutation() const { return perm_; }
 
   double norm() const;

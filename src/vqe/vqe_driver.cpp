@@ -182,11 +182,16 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
   const EnergyEvaluator evaluator(ansatz.circuit, h, options.mps);
 
   // Static LPT partition of the Pauli terms over ranks (level-2 parallelism).
-  const par::Schedule schedule =
-      par::lpt_schedule(evaluator.term_costs(), std::size_t(comm.size()));
+  // Every rank computes the same partition; only rank 0 publishes it, so the
+  // run report carries one "schedule" record per run, not one per rank.
+  const std::vector<double> costs = evaluator.term_costs();
+  const std::size_t ranks = std::size_t(comm.size());
+  const std::vector<std::size_t> assignment =
+      comm.rank() == 0 ? par::lpt_schedule(costs, ranks).assignment
+                       : par::lpt_assign(costs, ranks);
   std::vector<std::size_t> mine;
-  for (std::size_t t = 0; t < schedule.assignment.size(); ++t)
-    if (schedule.assignment[t] == std::size_t(comm.rank())) mine.push_back(t);
+  for (std::size_t t = 0; t < assignment.size(); ++t)
+    if (assignment[t] == std::size_t(comm.rank())) mine.push_back(t);
 
   EnergyFn f = [&](const std::vector<double>& x) {
     // Mirror the paper's per-iteration pattern: parameters flow from the

@@ -71,13 +71,12 @@ TEST(Compile, NearestNeighbourCircuitIsUntouched) {
   c.append(circ::make_h(0));
   c.append(circ::make_cnot(0, 1));
   c.append(circ::make_cnot(1, 2));
-  circ::CompileOptions opts;
-  opts.fuse = false;
-  const CompiledCircuit cc = circ::compile_for_mps(c, opts);
+  const CompiledCircuit cc = circ::compile_for_mps(c);
   EXPECT_TRUE(cc.output_perm.is_identity());
   EXPECT_EQ(cc.stats.swaps_materialized, 0u);
   EXPECT_EQ(cc.stats.swaps_elided, 0u);
-  EXPECT_EQ(cc.gates.size(), c.size());
+  // Only fusion shrinks it: no gate is added, none lost.
+  EXPECT_EQ(cc.gates.size() + cc.stats.gates_fused, c.size());
 }
 
 TEST(Compile, LogicalSwapIsElidedEntirely) {
@@ -99,9 +98,8 @@ TEST(Compile, BackToBackLongRangeGatesCancelTheirChains) {
   Circuit c(4);
   c.append(circ::make_cnot(0, 3));
   c.append(circ::make_cnot(0, 3));
-  circ::CompileOptions opts;
-  opts.fuse = false;
-  const CompiledCircuit cc = circ::compile_for_mps(c, opts);
+  // SWAP counts are taken before fusion, so fusing the stream leaves them be.
+  const CompiledCircuit cc = circ::compile_for_mps(c);
   EXPECT_EQ(cc.stats.swaps_eager, 8u);
   EXPECT_EQ(cc.stats.swaps_materialized, 2u);
   EXPECT_EQ(cc.stats.swaps_elided, 6u);
@@ -110,7 +108,7 @@ TEST(Compile, BackToBackLongRangeGatesCancelTheirChains) {
   Circuit d(5);
   d.append(circ::make_cnot(0, 4));
   d.append(circ::make_cnot(3, 4));  // endpoints parked adjacent by the chain
-  const CompiledCircuit dd = circ::compile_for_mps(d, opts);
+  const CompiledCircuit dd = circ::compile_for_mps(d);
   EXPECT_LT(dd.stats.swaps_materialized, dd.stats.swaps_eager);
 }
 

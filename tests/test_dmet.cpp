@@ -3,10 +3,14 @@
 // error), chemical-potential behaviour, and distributed == serial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "chem/fci.hpp"
 #include "chem/scf.hpp"
 #include "dmet/dmet_driver.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/svd_reference.hpp"
 
 namespace q2::dmet {
 namespace {
@@ -46,6 +50,59 @@ TEST(Bath, DimensionsBoundedByFragment) {
     for (std::size_t i = 0; i < g.rows(); ++i)
       for (std::size_t j = 0; j < g.cols(); ++j)
         EXPECT_NEAR(g(i, j), i == j ? 1.0 : 0.0, 1e-9);
+  }
+}
+
+TEST(Bath, MatchesScalarReferenceSvd) {
+  // The bath spans the left singular vectors of the env-fragment RDM block.
+  // Against the frozen scalar Jacobi oracle: same count, same occupations,
+  // and the same bath space — compared as the projector W_b W_b^T, which
+  // does not depend on the basis either engine picks inside a degenerate
+  // singular pair.
+  for (int atoms : {6, 10}) {
+    for (double bond : {1.4, 3.2}) {
+      const chem::Molecule mol = chem::Molecule::hydrogen_ring(atoms, bond);
+      const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+      const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
+      const chem::ScfResult scf = chem::rhf(mol, basis, ints);
+      const la::RMatrix p = oao_density(make_lowdin(ints.overlap), scf.density);
+      const std::size_t n = p.rows();
+      for (const Fragment& f : make_fragments(basis, mol.n_atoms(),
+                                              uniform_atom_groups(atoms, 2))) {
+        SCOPED_TRACE("H" + std::to_string(atoms) + " ring, bond " +
+                     std::to_string(bond) + ", fragment orbital " +
+                     std::to_string(f.orbitals[0]));
+        std::vector<std::size_t> env;
+        for (std::size_t o = 0; o < n; ++o)
+          if (std::count(f.orbitals.begin(), f.orbitals.end(), o) == 0)
+            env.push_back(o);
+        la::CMatrix b(env.size(), f.orbitals.size());
+        for (std::size_t r = 0; r < env.size(); ++r)
+          for (std::size_t c = 0; c < f.orbitals.size(); ++c)
+            b(r, c) = p(env[r], f.orbitals[c]);
+        const la::SvdResult ref = la::svd_jacobi_reference(b);
+        const EmbeddingBasis emb = make_bath(p, f);
+
+        std::size_t kept = 0;
+        la::RMatrix proj(n, n);  // W_b W_b^T - reference projector
+        for (std::size_t k = 0; k < ref.s.size(); ++k) {
+          if (ref.s[k] < 1e-8) continue;
+          ASSERT_LT(kept, emb.n_bath);
+          EXPECT_NEAR(emb.bath_occupations[kept++], ref.s[k], 1e-12);
+          for (std::size_t r = 0; r < env.size(); ++r)
+            for (std::size_t c = 0; c < env.size(); ++c)
+              proj(env[r], env[c]) -=
+                  (ref.u(r, k) * std::conj(ref.u(c, k))).real();
+        }
+        EXPECT_EQ(emb.n_bath, kept);
+        for (std::size_t k = emb.n_fragment; k < emb.w.cols(); ++k)
+          for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+              proj(r, c) += emb.w(r, k) * emb.w(c, k);
+        for (std::size_t i = 0; i < proj.size(); ++i)
+          EXPECT_NEAR(proj.data()[i], 0.0, 1e-12);
+      }
+    }
   }
 }
 

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "circuit/builder.hpp"
-#include "circuit/routing.hpp"
+#include "circuit/reorder.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/mps.hpp"
 #include "sim/statevector.hpp"
 
@@ -95,14 +96,22 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MpsVsStateVector,
                          ::testing::Values(2, 3, 4, 5, 6, 8, 10));
 
 TEST(Mps, LongRangeGatesViaRouting) {
-  Rng rng(7);
   Circuit c(6);
   c.append(circ::make_h(0));
   c.append(circ::make_cnot(0, 5));
   c.append(circ::make_cnot(5, 2));
   c.append(circ::make_cnot(2, 4));
+  // A logical circuit runs through the one routing pass, compile_for_mps:
+  // same residual placement, same materialized SWAPs, no eager chains.
+  const circ::CompiledCircuit compiled = circ::compile_for_mps(c);
+  ASSERT_FALSE(compiled.output_perm.is_identity());
+  obs::Counter& swaps =
+      obs::Registry::global().counter("circuit.swaps_materialized");
+  const std::uint64_t swaps0 = swaps.value();
   Mps mps(6, exact_opts(6));
-  mps.run(c);  // routes internally
+  mps.run(c);
+  EXPECT_EQ(swaps.value() - swaps0, compiled.stats.swaps_materialized);
+  EXPECT_EQ(mps.output_permutation(), compiled.output_perm);
   StateVector sv(6);
   sv.run(c);
   EXPECT_GT(fidelity(mps.to_statevector(), sv.amplitudes()), 1.0 - 1e-10);

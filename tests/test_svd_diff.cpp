@@ -75,7 +75,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{12, 40, 0}, DiffCase{33, 7, 0},
                       DiffCase{7, 33, 0}, DiffCase{1, 9, 0}, DiffCase{9, 1, 0},
                       DiffCase{24, 24, 6}, DiffCase{40, 16, 4},
-                      DiffCase{16, 40, 4}, DiffCase{64, 64, 10}));
+                      DiffCase{16, 40, 4}, DiffCase{64, 64, 10},
+                      DiffCase{9, 9, 0}, DiffCase{20, 12, 0},
+                      DiffCase{12, 20, 0}, DiffCase{33, 33, 0}));
 
 TEST(SvdDiff, TruncatedMatchesReferenceTruncation) {
   Rng rng(601);
@@ -327,6 +329,40 @@ TEST(SvdDiff, TournamentScheduleCoversEveryPairOnce) {
       }
     }
     EXPECT_EQ(seen.size(), n * (n - 1) / 2) << "n=" << n;
+  }
+}
+
+TEST(SvdDiff, RealInputGivesExactlyRealFactors) {
+  // The DMET bath keeps only the real part of U: that is lossless only if
+  // real input never picks up a complex phase anywhere in the engine (QR
+  // reflectors, Jacobi phases, rotations, null-vector completion).
+  Rng rng(608);
+  auto real_matrix = [&rng](std::size_t m, std::size_t n) {
+    CMatrix a(m, n);
+    for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
+    return a;
+  };
+  // B (x) I_2 repeats every singular value of B.
+  const CMatrix b = real_matrix(6, 3);
+  CMatrix repeated(12, 6);
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 3; ++j)
+      repeated(2 * i, 2 * j) = repeated(2 * i + 1, 2 * j + 1) = b(i, j);
+  const CMatrix rank3 = matmul(real_matrix(14, 3), real_matrix(3, 9));
+  for (const CMatrix& a :
+       {repeated, rank3, rank3.transposed(), real_matrix(5, 11),
+        matmul(real_matrix(6, 2), real_matrix(2, 6))}) {
+    const SvdResult f = svd_jacobi(a);
+    for (const CMatrix* factor : {&f.u, &f.vh})
+      for (std::size_t i = 0; i < factor->size(); ++i)
+        ASSERT_EQ(factor->data()[i].imag(), 0.0) << a.rows() << "x" << a.cols();
+    const SvdResult ref = svd_jacobi_reference(a);
+    ASSERT_EQ(f.s.size(), ref.s.size());
+    for (std::size_t i = 0; i < ref.s.size(); ++i)
+      EXPECT_NEAR(f.s[i], ref.s[i], 1e-12 * (1 + ref.s[0]));
+    EXPECT_LT(reconstruction_error(a, f), 1e-10 * (1 + a.frobenius_norm()));
+    EXPECT_LT(orthonormality_error(f.u), 1e-10);
+    EXPECT_LT(orthonormality_error(f.vh.adjoint()), 1e-10);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/svd_reference.hpp"
 #include "swsim/kernels.hpp"
 #include "swsim/machine_model.hpp"
 
@@ -105,7 +106,9 @@ TEST(Kernels, SvdCpeMatchesSerialSingularValues) {
                       std::array<std::size_t, 2>{24, 9},
                       std::array<std::size_t, 2>{9, 24}}) {
     const la::CMatrix a = random_matrix(m, n, rng);
-    const la::SvdResult serial = la::svd(a);
+    // The frozen scalar oracle: svd_cpe and svd_jacobi share
+    // tournament_rounds, so only the reference is independent of both.
+    const la::SvdResult serial = la::svd_jacobi_reference(a);
     const la::SvdResult par = svd_cpe(cluster, a);
     ASSERT_EQ(serial.s.size(), par.s.size());
     for (std::size_t i = 0; i < serial.s.size(); ++i)

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <string>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
+#include "obs/report.hpp"
 #include "parallel/comm.hpp"
 #include "sim/hadamard_test.hpp"
 #include "vqe/vqe_driver.hpp"
@@ -265,6 +268,31 @@ TEST(Vqe, DistributedMatchesSerial) {
   });
   EXPECT_NEAR(distributed_energy, serial.energy, 1e-9);
   (void)bytes;
+}
+
+TEST(Vqe, DistributedRunRecordsOneSchedule) {
+  // Every rank computes the same LPT partition; the run report must carry
+  // it once, not once per rank.
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  VqeOptions opts;
+  opts.optimizer.max_iterations = 2;
+  const std::string path =
+      ::testing::TempDir() + "q2_test_distributed_schedule.jsonl";
+  obs::RunReport& report = obs::RunReport::global();
+  ASSERT_TRUE(report.open(path));
+  par::World world(4);
+  world.run([&](par::Comm& comm) {
+    (void)run_vqe_distributed(s.mo, 1, 1, opts, comm);
+  });
+  report.close();
+
+  std::ifstream in(path);
+  int schedules = 0, lines = 0;
+  for (std::string line; std::getline(in, line); ++lines)
+    if (line.find("\"kind\":\"schedule\"") != std::string::npos)
+      ++schedules;
+  EXPECT_GT(lines, 1);
+  EXPECT_EQ(schedules, 1);
 }
 
 }  // namespace
